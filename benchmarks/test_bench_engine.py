@@ -1,16 +1,16 @@
 """Microbenchmarks of the discrete-event simulation kernel.
 
 Not a paper figure, but the substrate every experiment stands on: these
-benchmarks track the event-processing throughput of the engine and the cost
-of the resource primitives, so performance regressions in the kernel are
-caught before they show up as slow experiments.
+benchmarks track the event-processing throughput of the engine, so
+performance regressions in the kernel are caught before they show up as
+slow experiments.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import Container, Environment, Resource
+from repro.sim import Environment
 
 pytestmark = pytest.mark.bench  # deselected by default (see pyproject.toml); run with -m bench
 
@@ -25,44 +25,6 @@ def run_timeout_chain(events: int = 20_000) -> float:
     env.process(ticker(env))
     env.run()
     return env.now
-
-
-def run_resource_contention(users: int = 500, cycles: int = 20) -> int:
-    env = Environment()
-    resource = Resource(env, capacity=8)
-    completions = []
-
-    def user(env, resource):
-        for _ in range(cycles):
-            with resource.request() as request:
-                yield request
-                yield env.timeout(1.0)
-        completions.append(env.now)
-
-    for _ in range(users):
-        env.process(user(env, resource))
-    env.run()
-    return len(completions)
-
-
-def run_container_producers(pairs: int = 300, cycles: int = 30) -> float:
-    env = Environment()
-    container = Container(env, capacity=1_000, init=0)
-
-    def producer(env, container):
-        for _ in range(cycles):
-            yield env.timeout(1.0)
-            yield container.put(2)
-
-    def consumer(env, container):
-        for _ in range(cycles):
-            yield container.get(2)
-
-    for _ in range(pairs):
-        env.process(producer(env, container))
-        env.process(consumer(env, container))
-    env.run()
-    return container.level
 
 
 def run_condition_churn(waiters: int = 2_000) -> int:
@@ -95,13 +57,3 @@ def test_bench_engine_timeout_throughput(benchmark):
 def test_bench_engine_condition_churn(benchmark):
     completed = benchmark(run_condition_churn)
     assert completed == 2_000
-
-
-def test_bench_engine_resource_contention(benchmark):
-    completed = benchmark(run_resource_contention)
-    assert completed == 500
-
-
-def test_bench_engine_container_throughput(benchmark):
-    level = benchmark(run_container_producers)
-    assert level == 0

@@ -9,7 +9,7 @@ can attribute utilization to KOALA-managed jobs versus background load.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.cluster.allocation import Allocation, AllocationError
 from repro.sim.core import Environment
@@ -64,10 +64,10 @@ class Cluster:
         self.grid_usage_series = TimeSeries(name=f"{name}:grid-usage")
         #: Step function of processors busy on behalf of local background jobs.
         self.local_usage_series = TimeSeries(name=f"{name}:local-usage")
-        #: Events to trigger next time processors are released (used by the
-        #: local resource manager and the malleability manager to react to
-        #: freed capacity without polling).
-        self._release_waiters: List[Event] = []
+        #: One-shot callbacks of the next release or repair, in registration
+        #: order (see :meth:`on_next_release`; the local resource manager
+        #: reacts to freed capacity this way, without polling).
+        self._release_waiters: List[Callable[[], None]] = []
         #: Persistent callbacks invoked on *every* release with
         #: ``(allocation)``; used by the malleability manager to account for
         #: the processors that become available over time.
@@ -208,8 +208,22 @@ class Cluster:
     def when_released(self) -> Event:
         """Return an event that triggers the next time processors are released."""
         event = Event(self.env)
-        self._release_waiters.append(event)
+
+        def wake() -> None:
+            if not event.triggered:
+                event.succeed(self.idle_processors)
+
+        self._release_waiters.append(wake)
         return event
+
+    def on_next_release(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once, the next time processors are released.
+
+        The synchronous form of :meth:`when_released` (repairs count as
+        releases too): the callback runs inside the releasing call, after
+        the release listeners, with no event of its own.
+        """
+        self._release_waiters.append(callback)
 
     def add_release_listener(self, callback) -> None:
         """Invoke ``callback(allocation)`` every time an allocation is released."""
@@ -263,9 +277,8 @@ class Cluster:
 
     def _notify_release(self) -> None:
         waiters, self._release_waiters = self._release_waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.succeed(self.idle_processors)
+        for waiter in waiters:
+            waiter()
 
     def _record_usage(self) -> None:
         # Inlined ``TimeSeries.record`` (×3): every allocate/release lands

@@ -17,20 +17,30 @@ therefore exposes two latencies:
 * ``submission_latency`` — submit-to-active time of a GRAM job (stub started);
 * ``recruit_latency`` — time to turn an active stub into an application
   process.
+
+The gatekeeper admits submissions first come, first served: a counter of
+admitted submissions and a FIFO of waiting ones, driven by kernel callbacks
+(:meth:`~repro.sim.core.Environment.schedule_callback`), not by a process
+per submission.  Each callback takes the ``(time, priority)`` slot of the
+process-start, slot-grant, sleep or slot-release event it stands for (a
+slot release that cannot admit anybody is left out), so same-instant order
+— and the order of draws on the endpoint's random lane — is that of one
+process per submission holding a counted slot.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
-from typing import List, Optional
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
 from repro.sim.core import Environment
-from repro.sim.events import Event
+from repro.sim.events import URGENT, Event
 
 _gram_job_ids = count(1)
 
@@ -38,9 +48,12 @@ _gram_job_ids = count(1)
 class GramSubmissionError(RuntimeError):
     """Raised when a GRAM submission cannot obtain its processors."""
 
-    def __init__(self, cluster_name: str, requested: int, idle: int) -> None:
+    def __init__(
+        self, cluster_name: str, requested: int, idle: int, message: Optional[str] = None
+    ) -> None:
         super().__init__(
-            f"GRAM submission of {requested} processor(s) failed on {cluster_name!r}: "
+            message
+            or f"GRAM submission of {requested} processor(s) failed on {cluster_name!r}: "
             f"only {idle} idle"
         )
         self.cluster_name = cluster_name
@@ -85,8 +98,9 @@ class GramEndpoint:
     rng:
         Optional random generator for latency jitter.
     max_concurrent_submissions:
-        How many submissions the GRAM gatekeeper handles simultaneously.
-        ``None`` means unlimited.  The real Globus gatekeeper (security
+        How many submissions the GRAM gatekeeper handles simultaneously;
+        later ones wait their turn in submission order.  ``None`` means
+        unlimited.  The real Globus gatekeeper (security
         handshake, queue interaction) effectively serialises submissions,
         which is the main reason the paper calls the size-1-GRAM-jobs
         strategy poorly reactive: growing a job by many processors takes many
@@ -117,12 +131,10 @@ class GramEndpoint:
         self.latency_jitter = float(latency_jitter)
         self._rng = rng
         self.max_concurrent_submissions = max_concurrent_submissions
-        if max_concurrent_submissions is not None:
-            from repro.sim.resources import Resource
-
-            self._gatekeeper: Optional[Resource] = Resource(env, max_concurrent_submissions)
-        else:
-            self._gatekeeper = None
+        #: Gatekeeper state: submissions holding a slot, and ``(job, done)``
+        #: of those waiting for one, oldest first.
+        self._admitted = 0
+        self._waiting: Deque[Tuple[GramJob, Event]] = deque()
         #: GRAM jobs currently live at this endpoint.  Refused and released
         #: jobs are pruned immediately — at streaming workload sizes
         #: (hundreds of thousands of jobs) a grows-forever history would
@@ -157,17 +169,46 @@ class GramEndpoint:
         self.jobs.append(job)
         self.submitted_count += 1
         done = Event(self.env)
-        self.env.process(self._submission(job, done))
+        self.env.schedule_callback(self._arrive, priority=URGENT, value=(job, done))
         return done
 
-    def _submission(self, job: GramJob, done: Event):
-        if self._gatekeeper is not None:
-            # Wait for a gatekeeper slot: submissions queue behind each other.
-            with self._gatekeeper.request() as slot:
-                yield slot
-                yield self.env.timeout(self._jittered(self.submission_latency))
-        else:
-            yield self.env.timeout(self._jittered(self.submission_latency))
+    def _arrive(self, event: Event) -> None:
+        """The submission reaches the gatekeeper (a process start's slot)."""
+        if self.max_concurrent_submissions is None:
+            self._start_latency(event)
+            return
+        self._waiting.append(event._value)
+        self._admit()
+
+    def _admit(self, event: Optional[Event] = None) -> None:
+        """Hand free gatekeeper slots to waiting submissions, oldest first.
+
+        Runs when a submission arrives and, as a callback, one event after a
+        slot is freed; each admission takes effect one event later (the
+        slot-grant's slot), in :meth:`_start_latency`.
+        """
+        waiting = self._waiting
+        while waiting and self._admitted < self.max_concurrent_submissions:
+            self._admitted += 1
+            self.env.schedule_callback(self._start_latency, value=waiting.popleft())
+
+    def _start_latency(self, event: Event) -> None:
+        """Draw the submission latency and start its timer."""
+        self.env.schedule_callback(
+            self._complete, self._jittered(self.submission_latency), value=event._value
+        )
+
+    def _complete(self, event: Event) -> None:
+        """The submission reaches the local resource manager."""
+        job, done = event._value
+        if self.max_concurrent_submissions is not None:
+            self._admitted -= 1
+            # The freed slot is handed on one event later.  With nobody
+            # waiting and no other submission in flight, that event would
+            # admit nobody: arrivals take free slots at once and queue only
+            # when all are taken, and no slot can free up before it fires.
+            if self._waiting or self._admitted:
+                self.env.schedule_callback(self._admit)
         allocation = self.cluster.try_allocate(job.processors, owner=job.owner, kind="grid")
         if allocation is None:
             error = GramSubmissionError(
@@ -194,7 +235,13 @@ class GramEndpoint:
         running application without paying another full GRAM submission.
         """
         if not job.active:
-            raise GramSubmissionError(self.cluster.name, job.processors, 0)
+            raise GramSubmissionError(
+                self.cluster.name,
+                job.processors,
+                self.cluster.idle_processors,
+                f"cannot recruit GRAM job {job.gram_id} on {self.cluster.name!r}: "
+                f"its stub is not active",
+            )
         return self.env.timeout(self._jittered(self.recruit_latency), value=job)
 
     def release(self, job: GramJob) -> None:

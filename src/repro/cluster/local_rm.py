@@ -9,20 +9,28 @@ multicluster scheduler must be resilient to that background load.
 queue of rigid local jobs, each holding a fixed number of nodes for a fixed
 duration, with optional EASY-style backfilling (disabled by default to match
 the plain FCFS configuration used on the testbed).
+
+The manager runs no simulation process.  The dispatcher is woken in two
+kernel-callback steps (:meth:`~repro.sim.core.Environment.schedule_callback`)
+by a submission or by processors coming free, each running job is a single
+timer, and a node failure ends a job through an URGENT callback.  Every
+callback takes the ``(time, priority)`` slot of the process event it stands
+for (wake-up trigger, wake-up condition, sleep, interrupt), so same-instant
+order is that of a dispatcher process waiting on "submitted or released"
+and of one process per job.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Deque, Dict, List, Optional
-from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
 from repro.sim.core import Environment
-from repro.sim.events import Event, Interrupt
-from repro.sim.process import Process
+from repro.sim.events import URGENT, Event
 
 _local_job_ids = count(1)
 
@@ -82,9 +90,15 @@ class LocalResourceManager:
         self._completion_events: Dict[int, Event] = {}
         self._finished: List[LocalJob] = []
         #: Running jobs keyed by allocation id (for fault injection).
-        self._running: Dict[int, "tuple[LocalJob, Allocation, Process]"] = {}
-        self._wakeup: Optional[Event] = None
-        self._dispatcher = env.process(self._dispatch_loop())
+        self._running: Dict[int, Tuple[LocalJob, Allocation]] = {}
+        #: Whether the dispatcher waits for a submission or a release (no
+        #: dispatch pending), and whether it is registered for the next
+        #: release on the cluster.
+        self._armed = False
+        self._listening = False
+        #: Set while the first dispatch runs (see :meth:`_start`).
+        self._first = False
+        env.schedule_callback(self._first_dispatch, priority=URGENT)
 
     # -- public interface ------------------------------------------------------
 
@@ -94,7 +108,7 @@ class LocalResourceManager:
         done = Event(self.env)
         self._completion_events[job.job_id] = done
         self._queue.append(job)
-        self._kick()
+        self._wake()
         return done
 
     @property
@@ -113,36 +127,46 @@ class LocalResourceManager:
         Local jobs are rigid: losing any node terminates the whole job early.
         Returns ``True`` if a job was killed, ``False`` when the allocation is
         not one of this manager's running jobs.  The processors come back to
-        the pool when the interrupted job process releases them — the fault
+        the pool at the failure instant, in an URGENT callback — the fault
         injector marks the dead ones failed *before* calling this, so the
         release cannot be double-promised.
         """
         # Popped immediately: a second failure striking the same job in the
-        # same instant (e.g. two trace lines at one timestamp) must be a
-        # no-op, not a second interrupt thrown into a finished generator.
+        # same instant (e.g. two trace lines at one timestamp) finds nothing
+        # to kill, and the job's timer finds nothing to complete.
         entry = self._running.pop(allocation.allocation_id, None)
         if entry is None:
             return False
-        _, _, process = entry
-        if process.is_alive:
-            process.interrupt("node failure")
+        self.env.schedule_callback(self._end, priority=URGENT, value=entry)
         return True
 
     # -- dispatcher -------------------------------------------------------------
 
-    def _kick(self) -> None:
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+    def _wake(self) -> None:
+        """A submission or a release wakes the waiting dispatcher."""
+        if self._armed:
+            self._armed = False
+            self.env.schedule_callback(self._woken)
 
-    def _dispatch_loop(self):
-        while True:
-            self._start_eligible_jobs()
-            # Sleep until either a new submission arrives or processors are
-            # released on the cluster.
-            self._wakeup = Event(self.env)
-            released = self.cluster.when_released()
-            yield self._wakeup | released
-            self._wakeup = None
+    def _on_release(self) -> None:
+        self._listening = False
+        self._wake()
+
+    def _woken(self, event: Event) -> None:
+        # Second step of a wake-up: the dispatch runs one event later.
+        self.env.schedule_callback(self._dispatch)
+
+    def _first_dispatch(self, event: Event) -> None:
+        self._first = True
+        self._dispatch(event)
+        self._first = False
+
+    def _dispatch(self, event: Event) -> None:
+        self._start_eligible_jobs()
+        self._armed = True
+        if not self._listening:
+            self._listening = True
+            self.cluster.on_next_release(self._on_release)
 
     def _start_eligible_jobs(self) -> None:
         started = True
@@ -168,15 +192,31 @@ class LocalResourceManager:
     def _start(self, job: LocalJob) -> None:
         allocation = self.cluster.allocate(job.processors, owner=job.name, kind="local")
         job.start_time = self.env.now
-        process = self.env.process(self._run(job, allocation))
-        self._running[allocation.allocation_id] = (job, allocation, process)
+        entry = (job, allocation)
+        self._running[allocation.allocation_id] = entry
+        if self._first:
+            # The first dispatch runs in an URGENT event, and URGENT events
+            # queued behind it would run before a job process's first step
+            # (which starts its sleep): take that step's slot.
+            self.env.schedule_callback(self._launch, priority=URGENT, value=entry)
+        else:
+            # Other dispatches run in NORMAL events: nothing runs between the
+            # start and that first step, so the timer is pushed right away,
+            # in the drain position the sleep would have had.
+            self.env.schedule_callback(self._expire, job.duration, value=entry)
 
-    def _run(self, job: LocalJob, allocation):
-        try:
-            yield self.env.timeout(job.duration)
-        except Interrupt:
-            pass  # killed by a node failure: terminate early
-        self._running.pop(allocation.allocation_id, None)
+    def _launch(self, event: Event) -> None:
+        job, _ = event._value
+        self.env.schedule_callback(self._expire, job.duration, value=event._value)
+
+    def _expire(self, event: Event) -> None:
+        _, allocation = event._value
+        # A job killed by a node failure is no longer running.
+        if self._running.pop(allocation.allocation_id, None) is not None:
+            self._end(event)
+
+    def _end(self, event: Event) -> None:
+        job, allocation = event._value
         if allocation.active:
             allocation.release()
         job.finish_time = self.env.now

@@ -13,10 +13,10 @@ style (comparable to SimPy, which is not available in this environment):
   synchronisation primitives;
 * :class:`~repro.sim.process.Process` wraps a Python generator; the generator
   yields events and is resumed when the yielded event is processed;
-* :mod:`repro.sim.resources` provides shared-resource primitives
-  (:class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.Container`,
-  :class:`~repro.sim.resources.Store`);
+* :meth:`~repro.sim.core.Environment.schedule_callback` runs a plain callback
+  at a given ``(time, priority)`` slot, for work that needs no generator
+  frame (the cluster substrate — GRAM admission, local jobs, the local
+  resource manager's dispatcher — runs on it, without processes);
 * :mod:`repro.sim.rng` provides named, independently seeded random streams so
   that experiments are reproducible and individual stochastic components can
   be varied independently;
@@ -38,16 +38,6 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process, ProcessGenerator
-from repro.sim.resources import (
-    Container,
-    FilterStore,
-    PreemptedError,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-    Store,
-)
 from repro.sim.rng import RandomStreams
 from repro.sim.monitor import Counter, TimeSeries, TimeWeightedStat
 
@@ -56,25 +46,17 @@ __all__ = [
     "AnyOf",
     "CalendarQueue",
     "Condition",
-    "Container",
     "Counter",
     "EmptySchedule",
     "Environment",
     "Event",
-    "FilterStore",
     "HeapQueue",
     "Interrupt",
-    "PreemptedError",
-    "PriorityResource",
     "Process",
     "ProcessGenerator",
     "RandomStreams",
-    "Release",
-    "Request",
-    "Resource",
     "resolve_queue_name",
     "StopSimulation",
-    "Store",
     "TimeSeries",
     "TimeWeightedStat",
     "Timeout",

@@ -19,6 +19,11 @@ pattern, in which no reference to the event survives the resumption.
 Timeouts waited on by conditions, interrupted sleeps or ``run(until=...)``
 stop events are never recycled.
 
+Work that needs no generator frame — a timer, a hand-off at the current
+instant — is scheduled with :meth:`Environment.schedule_callback`, which
+pushes one plain event carrying the callback instead of starting a process
+(an ``Initialize`` event, the sleeps, and an end-of-process event).
+
 The event queue itself is pluggable (see :mod:`repro.sim.calqueue`): a
 calendar/bucket queue by default, the classic binary heap via
 ``REPRO_SIM_QUEUE=heap``.  Both produce the identical ``(time, priority,
@@ -29,7 +34,7 @@ implementations.
 from __future__ import annotations
 
 from math import inf
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
 from repro.sim.calqueue import make_queue
 
@@ -184,6 +189,36 @@ class Environment:
         """
         self._eid = eid = self._eid + 1
         self._push((self._now + delay, priority, eid, event))
+
+    def schedule_callback(
+        self,
+        callback: Callable[[Event], None],
+        delay: float = 0.0,
+        priority: int = NORMAL,
+        value: Any = None,
+    ) -> Event:
+        """Call ``callback(event)`` at ``(now + delay, priority)``; return the event.
+
+        The process-free scheduling primitive: a plain, already-triggered
+        :class:`~repro.sim.events.Event` carrying *callback* (and *value*,
+        for the callback to read) is pushed right away, so it takes exactly
+        the ``(time, priority)`` slot — and, scheduled at the same moment,
+        the same drain position — as a process ``Initialize`` (``delay=0``,
+        ``URGENT``) or a process sleep (``NORMAL``) pushed in its place.
+        Unlike a process, it needs no start event and leaves no
+        end-of-process event behind.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        event = Event.__new__(Event)
+        event.env = self
+        event.callbacks = [callback]
+        event._ok = True
+        event._value = value
+        event.defused = False
+        self._eid = eid = self._eid + 1
+        self._push((self._now + delay, priority, eid, event))
+        return event
 
     def schedule_at(self, event: Event, at: float, priority: int = NORMAL) -> None:
         """Schedule *event* for processing at the absolute time *at*.

@@ -97,6 +97,16 @@ def test_recruit_of_released_job_rejected(env):
     assert driver_proc.value == "rejected"
 
 
+def test_recruit_error_says_the_stub_is_not_active(env):
+    cluster, endpoint = build(env)
+    done = endpoint.submit("job-1", 1)
+    env.run()
+    endpoint.release(done.value)
+    with pytest.raises(GramSubmissionError, match="stub is not active") as raised:
+        endpoint.recruit(done.value)
+    assert "idle" not in str(raised.value)
+
+
 def test_latency_jitter_stays_within_bounds():
     env = Environment()
     rng = RandomStreams(3)["gram"]
@@ -134,3 +144,70 @@ def test_failed_submission_does_not_crash_unwaited(env):
     endpoint.submit("job-1", 1)  # nobody ever waits on this event
     env.run()  # must not raise
     assert cluster.grid_processors == 0
+
+
+class ScriptedRng:
+    """Stands in for a generator: returns the scripted jitters in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def uniform(self, low, high):
+        return self.values.pop(0)
+
+
+@pytest.mark.parametrize(
+    "limit, active_at",
+    [(1, [5.0, 10.0, 15.0, 20.0]), (2, [5.0, 5.0, 10.0, 10.0]), (None, [5.0] * 4)],
+)
+def test_gatekeeper_admits_submissions_in_fifo_order(env, limit, active_at):
+    cluster = Cluster(env, "c", 16)
+    endpoint = GramEndpoint(
+        env, cluster, submission_latency=5.0, max_concurrent_submissions=limit
+    )
+    activations = []
+    for index in range(4):
+        done = endpoint.submit(f"job-{index}")
+        done.callbacks.append(lambda event: activations.append((event.value.owner, env.now)))
+    env.run()
+    assert activations == [(f"job-{index}", at) for index, at in enumerate(active_at)]
+    assert cluster.grid_processors == 4
+
+
+def test_queued_submission_draws_after_the_previous_waiter_recruits(env):
+    # One gatekeeper slot: "b" is admitted the instant "a" completes, but it
+    # draws its latency only after a's waiter resumed and drew its recruit.
+    cluster = Cluster(env, "c", 16)
+    endpoint = GramEndpoint(
+        env,
+        cluster,
+        submission_latency=10.0,
+        recruit_latency=1.0,
+        latency_jitter=0.5,
+        rng=ScriptedRng([0.1, 0.2, 0.3]),
+        max_concurrent_submissions=1,
+    )
+
+    first = endpoint.submit("a")
+    second = endpoint.submit("b")
+
+    def recruiter(env):
+        job = yield first
+        yield endpoint.recruit(job)
+        return env.now
+
+    waiter = env.process(recruiter(env))
+    env.run()
+    assert waiter.value == pytest.approx(10.0 * 1.1 + 1.0 * 1.2)
+    assert second.value.active_at == pytest.approx(10.0 * 1.1 + 10.0 * 1.3)
+
+
+def test_refused_submission_fails_defused_and_leaves_the_job_list(env):
+    cluster, endpoint = build(env, nodes=2, latency=2.0)
+    cluster.allocate(2, owner="taken", kind="local")
+    done = endpoint.submit("job-1", 1)
+    env.run()
+    assert done.processed and not done.ok and done.defused
+    assert isinstance(done.value, GramSubmissionError)
+    assert endpoint.jobs == []
+    assert endpoint.submitted_count == 1

@@ -83,6 +83,54 @@ def test_queue_length_reflects_waiting_jobs(env):
     assert cluster.used_processors == 2
 
 
+def test_node_failure_frees_the_processors_at_the_failure_instant(env):
+    cluster, lrm = build(env, nodes=8)
+    job = LocalJob(processors=4, duration=1000.0)
+    lrm.submit(job)
+
+    def fault(env):
+        yield env.timeout(10.0)
+        [allocation] = cluster.active_allocations
+        cluster.mark_failed(4)
+        killed = lrm.fail_allocation(allocation)
+        again = lrm.fail_allocation(allocation)  # same instant: nothing left
+        yield env.timeout(0)
+        return killed, again, cluster.used_processors, job.finish_time
+
+    injector = env.process(fault(env))
+    env.run()
+    assert injector.value == (True, False, 0, 10.0)
+    assert lrm.finished_jobs == [job]
+    assert cluster.idle_processors == 4
+
+
+def test_release_during_a_pending_dispatch_starts_no_second_one(env):
+    cluster, lrm = build(env, nodes=8)
+    dispatches = []
+    dispatch = lrm._dispatch
+
+    def counted(event):
+        dispatches.append(env.now)
+        dispatch(event)
+
+    lrm._dispatch = counted
+    first = cluster.allocate(4, owner="grid-a")
+    second = cluster.allocate(4, owner="grid-b")
+    job = LocalJob(processors=8, duration=5.0)
+
+    def releases(env):
+        yield env.timeout(3.0)
+        lrm.submit(job)  # wakes the dispatcher: job does not fit yet
+        first.release()  # the dispatch is already pending
+        second.release()
+        yield env.timeout(0)
+
+    env.process(releases(env))
+    env.run()
+    assert dispatches == [0.0, 3.0, 8.0]
+    assert job.start_time == 3.0 and job.finish_time == 8.0
+
+
 # ---------------------------------------------------------------------------
 # Background load generator
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_local_rm_fail_allocation_kills_the_running_job(env):
     manager.submit(job)
     env.run(until=10)
     assert cluster.used_processors == 4
-    [(running_job, allocation, _)] = list(manager._running.values())
+    [(running_job, allocation)] = list(manager._running.values())
     assert running_job is job
 
     cluster.mark_failed(4)

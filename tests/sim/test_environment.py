@@ -125,6 +125,34 @@ def test_events_at_same_time_processed_in_schedule_order():
     assert order == ["first", "second", "third"]
 
 
+def test_scheduled_callbacks_share_the_slots_of_process_events():
+    env = Environment()
+    order = []
+
+    def proc(env, name):
+        order.append(f"{name} starts")
+        yield env.timeout(5)
+        order.append(f"{name} wakes")
+
+    def record(event):
+        order.append(event.value)
+
+    env.process(proc(env, "p"))
+    env.schedule_callback(record, value="urgent callback", priority=0)
+    env.schedule_callback(record, 5, value="timer")
+    env.schedule_callback(record, value="normal callback")
+    env.run()
+    assert order == [
+        "p starts",
+        "urgent callback",
+        "normal callback",
+        "timer",  # pushed before p's first step pushed its sleep
+        "p wakes",
+    ]
+    with pytest.raises(ValueError):
+        env.schedule_callback(record, -1)
+
+
 def test_peek_reports_next_event_time():
     env = Environment()
     env.timeout(7)
