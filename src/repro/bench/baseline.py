@@ -16,9 +16,8 @@ Wall-clock time is the gated metric; events/second, peak RSS and the metrics
 digest are compared and reported as notes only (the digest changing means
 the *simulated outcomes* changed, which a pure perf PR should never do).
 A record is only gated against a baseline measured for the same pinned
-workload on the same host fingerprint under the same event-queue
-implementation — comparing wall-clock across different machines (or
-different kernels) says nothing about the code — so gating on CI requires a
+workload on the same host fingerprint — comparing wall-clock across
+different machines says nothing about the code — so gating on CI requires a
 baseline committed from a CI run (the workflow uploads every
 ``BENCH_*.json`` as an artifact for exactly that).
 """
@@ -164,11 +163,7 @@ def compare_records(
         baseline.host,
         _feature_release(baseline.python_version),
     )
-    # The event-queue implementation is part of the comparability
-    # fingerprint: a heap-measured record and a calendar-measured record
-    # time different kernels, so neither gates against the other.
-    same_queue = current.queue == baseline.queue
-    comparable = same_workload and same_host and same_queue
+    comparable = same_workload and same_host
     if not comparable:
         # Different pinned workloads time different work, and different
         # machines time the same work differently; neither a regression nor
@@ -200,12 +195,6 @@ def compare_records(
                 f"baseline {baseline.host!r}/py{baseline.python_version} — "
                 "wall-clock not gated; commit a baseline measured on this host "
                 "(e.g. the BENCH_*.json artifact from a CI run) to enable gating"
-            )
-        if not same_queue:
-            notes.append(
-                f"queue mismatch: current {current.queue!r}, baseline "
-                f"{baseline.queue!r} — wall-clock not gated; re-baseline with "
-                "--update under the queue being measured"
             )
         if current.metrics_digest != baseline.metrics_digest:
             notes.append(

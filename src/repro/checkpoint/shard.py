@@ -161,9 +161,9 @@ def _replay_window(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     The window keeps its absolute submit times; the KIS poll loop is told to
     take its first poll at the last serial-grid poll instant not after the
-    window's first submission, so the calendar queue jumps over the empty
-    prefix in one step while every poll at or after the first arrival lands
-    on exactly the serial run's poll instants.  (Poll instants are exact
+    window's first submission, so the run skips the empty prefix in one
+    step while every poll at or after the first arrival lands on exactly
+    the serial run's poll instants.  (Poll instants are exact
     integer multiples of the poll interval in both runs, so the alignment is
     bit-exact, not approximate.)
     """

@@ -447,7 +447,6 @@ def run_experiment(
             meta={
                 "label": config.label,
                 "seed": config.seed,
-                "queue": env.queue_name,
                 "workload": config.workload,
                 "job_count": config.job_count,
             },
@@ -471,7 +470,6 @@ def run_experiment(
                 "run_start",
                 label=config.label,
                 seed=config.seed,
-                queue=env.queue_name,
                 time_limit=config.time_limit,
             )
 

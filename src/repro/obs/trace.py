@@ -5,7 +5,7 @@ instrumentation points of the simulator and the service:
 
 ============= ==============================================================
 ``header``    First record of every trace: ``schema`` plus run metadata.
-``run_start`` One experiment run began (label, seed, queue, workload).
+``run_start`` One experiment run began (label, seed, time limit).
 ``sched``     The kernel scheduled an event (time, priority, id, type).
 ``ev``        The kernel fired an event (time, priority, type).
 ``queue``     Periodic kernel snapshot (pending events, processed count).

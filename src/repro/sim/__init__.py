@@ -27,7 +27,6 @@ The public API of the engine is re-exported here so downstream packages can
 simply ``from repro.sim import Environment, Timeout``.
 """
 
-from repro.sim.calqueue import CalendarQueue, HeapQueue, resolve_queue_name
 from repro.sim.core import Environment, EmptySchedule, StopSimulation
 from repro.sim.events import (
     AllOf,
@@ -44,18 +43,15 @@ from repro.sim.monitor import Counter, TimeSeries, TimeWeightedStat
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Condition",
     "Counter",
     "EmptySchedule",
     "Environment",
     "Event",
-    "HeapQueue",
     "Interrupt",
     "Process",
     "ProcessGenerator",
     "RandomStreams",
-    "resolve_queue_name",
     "StopSimulation",
     "TimeSeries",
     "TimeWeightedStat",

@@ -24,19 +24,20 @@ instant — is scheduled with :meth:`Environment.schedule_callback`, which
 pushes one plain event carrying the callback instead of starting a process
 (an ``Initialize`` event, the sleeps, and an end-of-process event).
 
-The event queue itself is pluggable (see :mod:`repro.sim.calqueue`): a
-calendar/bucket queue by default, the classic binary heap via
-``REPRO_SIM_QUEUE=heap``.  Both produce the identical ``(time, priority,
-insertion_id)`` total order, so simulations are byte-identical across
-implementations.
+Pending events are ``(time, priority, insertion_id, event)`` entries in one
+binary heap, a plain list ordered with :mod:`heapq`; the insertion id makes
+the order total, so equal ``(time, priority)`` events drain first-in
+first-out.  A tracer (see :meth:`Environment.set_tracer`) wraps the push and,
+for the duration of a :meth:`Environment.run` call, the pop: the loop itself
+is the same with or without tracing.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from heapq import heappop, heappush
 from math import inf
 from typing import Any, Callable, Iterable, Optional, Union
-
-from repro.sim.calqueue import make_queue
 
 from repro.sim.events import (
     NORMAL,
@@ -94,20 +95,19 @@ class Environment:
     10
     """
 
-    def __init__(self, initial_time: float = 0.0, queue: Optional[str] = None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now: float = float(initial_time)
-        #: Pluggable event queue; ``queue`` overrides ``$REPRO_SIM_QUEUE``.
-        self._queue = make_queue(queue)
-        #: Bound ``push`` of the queue, hoisted for the scheduling hot path.
-        self._push = self._queue.push
+        #: The event queue: a binary heap of ``(time, priority, id, event)``.
+        self._heap: list = []
+        #: ``heappush`` bound to the heap, hoisted for the scheduling hot path.
+        self._push = partial(heappush, self._heap)
         self._eid: int = 0
         self._active_process: Optional[Process] = None
         #: Free list of recycled plain-sleep timeouts (see module docstring).
         self._timeout_pool: list[Timeout] = []
         self._events_processed: int = 0
         #: Optional :class:`repro.obs.trace.Tracer`.  ``None`` (the default)
-        #: costs exactly one attribute check per :meth:`run` call — the
-        #: untraced loop below is byte-identical to the pre-tracing one.
+        #: costs exactly one attribute check per :meth:`run` call.
         self._tracer = None
 
     # -- basic accessors -------------------------------------------------
@@ -116,11 +116,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def queue_name(self) -> str:
-        """Name of the event-queue implementation this environment uses."""
-        return self._queue.name
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -267,16 +262,17 @@ class Environment:
 
     def peek(self) -> float:
         """Return the time of the next scheduled event, or ``inf`` if none."""
-        return self._queue.peek_time()
+        heap = self._heap
+        return heap[0][0] if heap else inf
 
     def pending_entries(self):
         """Sorted snapshot of every pending ``(time, priority, id, event)``.
 
-        Checkpoint introspection (both queue backends): the drain order the
-        simulation would continue with.  A snapshot — mutating the returned
-        list does not touch the queue.
+        Checkpoint introspection: the drain order the simulation would
+        continue with.  A snapshot — mutating the returned list does not
+        touch the queue.
         """
-        return self._queue.entries()
+        return sorted(self._heap)
 
     def kernel_state(self) -> dict:
         """JSON-able fingerprint of the kernel: clock, counters, queue shape.
@@ -288,8 +284,7 @@ class Environment:
             "now": self._now,
             "event_id": self._eid,
             "events_processed": self._events_processed,
-            "queue": self._queue.name,
-            "pending": len(self._queue),
+            "pending": len(self._heap),
             "timeout_pool": len(self._timeout_pool),
         }
 
@@ -298,17 +293,18 @@ class Environment:
 
         With a tracer attached, every schedule emits a ``sched`` record
         (via a wrapped ``_push``, so the disabled path keeps the plain
-        bound method) and :meth:`run` switches to the traced loop, which
-        emits an ``ev`` record per fired event and periodic ``queue``
-        snapshots.  Trace records carry simulated time only — never
-        wall-clock — so same-seed runs produce byte-identical traces.
+        ``heappush`` binding) and :meth:`run` pops through
+        :meth:`_traced_pop`, which emits an ``ev`` record per fired event
+        and periodic ``queue`` snapshots.  Trace records carry simulated
+        time only — never wall-clock — so same-seed runs produce
+        byte-identical traces.
         """
         self._tracer = tracer
+        push = partial(heappush, self._heap)
         if tracer is None:
-            self._push = self._queue.push
+            self._push = push
             return
         write = tracer.write
-        push = self._queue.push
 
         def traced_push(item) -> None:
             write(
@@ -333,7 +329,7 @@ class Environment:
             If no events are scheduled.
         """
         try:
-            self._now, _, _, event = self._queue.pop()
+            self._now, _, _, event = heappop(self._heap)
         except IndexError:
             raise EmptySchedule() from None
 
@@ -385,8 +381,6 @@ class Environment:
         -------
         The value of the *until* event if one was given, otherwise ``None``.
         """
-        if self._tracer is not None:
-            return self._run_traced(until)
         stop_event: Optional[Event] = None
         if until is not None:
             if isinstance(until, Event):
@@ -413,7 +407,10 @@ class Environment:
         # Inlined event loop: identical semantics to repeated ``step()``
         # calls, with every per-event lookup hoisted into a local.
         pool = self._timeout_pool
-        pop = self._queue.pop
+        if self._tracer is None:
+            pop = partial(heappop, self._heap)
+        else:
+            pop = self._traced_pop()
         pending = PENDING
         timeout_cls = Timeout
         resume_func = _PROCESS_RESUME
@@ -463,96 +460,41 @@ class Environment:
         finally:
             self._events_processed += processed
 
-    #: Traced loop: a ``queue`` snapshot record every this many events.
+    #: Traced runs: a ``queue`` snapshot record every this many events.
     TRACE_QUEUE_SNAPSHOT_EVERY = 4096
 
-    def _run_traced(self, until: Union[None, float, Event] = None) -> Any:
-        """The instrumented twin of :meth:`run` (tracer attached).
+    def _traced_pop(self) -> Callable[[], tuple]:
+        """A ``heappop`` of the heap that also writes the run's trace records.
 
-        Same semantics, plus one ``ev`` record per fired event and a
-        ``queue`` snapshot every :data:`TRACE_QUEUE_SNAPSHOT_EVERY` events.
-        Kept as a separate copy of the loop so the untraced hot path pays
-        nothing — not even dead branches — for the instrumentation.
+        Built once per traced :meth:`run` call, it writes one ``ev`` record
+        per popped event and, every :data:`TRACE_QUEUE_SNAPSHOT_EVERY`
+        events processed in this call, a ``queue`` snapshot, both before the
+        event's callbacks run.  :meth:`run` adds its own count to
+        ``_events_processed`` only when it returns, so the snapshot's
+        ``processed`` is the count at the start of the call plus the local
+        one.
         """
-        stop_event: Optional[Event] = None
-        if until is not None:
-            if isinstance(until, Event):
-                stop_event = until
-                if stop_event.callbacks is None:
-                    return stop_event.value
-                stop_event.callbacks.append(StopSimulation.callback)
-            else:
-                at = float(until)
-                if at == self._now:
-                    return None
-                if at < self._now:
-                    raise ValueError(
-                        f"until ({at}) must not be earlier than the current time ({self._now})"
-                    )
-                stop_event = Event(self)
-                stop_event._ok = True
-                stop_event._value = None
-                stop_event.callbacks.append(StopSimulation.callback)
-                self.schedule(stop_event, priority=URGENT, delay=at - self._now)
-
-        pool = self._timeout_pool
-        queue = self._queue
-        pop = queue.pop
-        pending = PENDING
-        timeout_cls = Timeout
-        resume_func = _PROCESS_RESUME
+        heap = self._heap
         write = self._tracer.write
         snapshot_every = self.TRACE_QUEUE_SNAPSHOT_EVERY
         processed = 0
-        try:
-            while True:
-                try:
-                    item = pop()
-                except IndexError:
-                    if stop_event is not None and not stop_event.triggered:
-                        raise RuntimeError(
-                            f"no scheduled events left but the until event "
-                            f"{stop_event!r} was never triggered"
-                        ) from None
-                    return None
-                self._now = now = item[0]
-                event = item[3]
-                write({"k": "ev", "t": now, "pr": item[1], "e": type(event).__name__})
-                callbacks = event.callbacks
-                if callbacks is None:  # pragma: no cover - defensive
-                    continue
-                event.callbacks = None
+
+        def pop() -> tuple:
+            nonlocal processed
+            item = heappop(heap)
+            event = item[3]
+            write({"k": "ev", "t": item[0], "pr": item[1], "e": type(event).__name__})
+            if event.callbacks is not None:
                 processed += 1
                 if not processed % snapshot_every:
                     write(
                         {
                             "k": "queue",
-                            "t": now,
-                            "pending": len(queue),
+                            "t": item[0],
+                            "pending": len(heap),
                             "processed": self._events_processed + processed,
                         }
                     )
-                for callback in callbacks:
-                    callback(event)
+            return item
 
-                if event._ok:
-                    if (
-                        type(event) is timeout_cls
-                        and len(callbacks) == 1
-                        and getattr(callbacks[0], "__func__", None) is resume_func
-                    ):
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        event._value = pending
-                        pool.append(event)
-                elif not event.defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise RuntimeError(
-                        f"event {event!r} failed with non-exception {exc!r}"
-                    )
-        except StopSimulation as stop:
-            return stop.args[0] if stop.args else None
-        finally:
-            self._events_processed += processed
+        return pop

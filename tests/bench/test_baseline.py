@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from repro.bench import (
@@ -9,6 +12,7 @@ from repro.bench import (
     check_record,
     compare_records,
     load_baseline,
+    load_record,
     parse_threshold,
     save_baseline,
 )
@@ -166,3 +170,22 @@ def test_baseline_round_trips_through_json(tmp_path):
     save_baseline(tmp_path, original)
     loaded = load_baseline(tmp_path, "figure7")
     assert loaded == original
+
+
+COMMITTED_BASELINES = sorted(
+    (Path(__file__).resolve().parents[2] / "benchmarks" / "baselines").glob("BENCH_*.json")
+)
+
+
+@pytest.mark.parametrize("path", COMMITTED_BASELINES, ids=lambda path: path.name)
+def test_committed_baselines_load_and_gate(path):
+    # Keys a record no longer has (the committed files still carry the
+    # retired ``queue`` field) are ignored on load.
+    baseline = load_record(path)
+    assert set(baseline.to_dict()) == {f.name for f in dataclasses.fields(BenchRecord)}
+    slower = dataclasses.replace(
+        baseline, wall_clock_seconds=baseline.wall_clock_seconds * 1.3
+    )
+    comparison = compare_records(slower, baseline, threshold=0.15)
+    assert comparison.status == STATUS_REGRESSION
+    assert not any("mismatch" in note for note in comparison.notes)

@@ -3,8 +3,7 @@
 The ISSUE-mandated invariant, stated over the paper's central sweep
 (``figure7``, malleable jobs under FPSMA) and the churn-replay combination
 (trace-driven submissions under node churn) — both outside the native
-envelope, so the captures run in replay mode — under both event-queue
-backends (``REPRO_SIM_QUEUE=heap|calendar``).
+envelope, so the captures run in replay mode.
 
 For every drawn capture instant the restored run must finish with the same
 per-job completion digest and the same kernel event count as the original,
@@ -12,8 +11,6 @@ whatever phase the simulation was in when the checkpoint hit.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -28,37 +25,27 @@ from repro.checkpoint import (
 from repro.experiments.scenarios import get_scenario
 
 SCENARIOS = ("figure7", "churn-replay")
-QUEUES = ("heap", "calendar")
 
 
-def _roundtrip(scenario: str, queue: str, fraction: float) -> None:
-    previous = os.environ.get("REPRO_SIM_QUEUE")
-    os.environ["REPRO_SIM_QUEUE"] = queue
-    try:
-        _label, config = get_scenario(scenario).expand(job_count=10)[0]
-        run = SimulationRun.fresh(config, retain_jobs=False, collect_windowed=True)
-        at = fraction * 4000.0
-        step_until(run.env, at)
-        advance_to_safe_point(run)
-        envelope = capture_state(run, mode="replay")
-        run.run_to_completion(drain=True)
-        assert run.done
+def _roundtrip(scenario: str, fraction: float) -> None:
+    _label, config = get_scenario(scenario).expand(job_count=10)[0]
+    run = SimulationRun.fresh(config, retain_jobs=False, collect_windowed=True)
+    at = fraction * 4000.0
+    step_until(run.env, at)
+    advance_to_safe_point(run)
+    envelope = capture_state(run, mode="replay")
+    run.run_to_completion(drain=True)
+    assert run.done
 
-        restored = restore_run(envelope)
-        restored.run_to_completion(drain=True)
-        assert restored.done
-        assert restored.collector.window.digest == run.collector.window.digest
-        assert restored.collector.window.jobs == run.collector.window.jobs
-        assert restored.env.processed_events == run.env.processed_events
-        assert restored.env.now == run.env.now
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SIM_QUEUE", None)
-        else:
-            os.environ["REPRO_SIM_QUEUE"] = previous
+    restored = restore_run(envelope)
+    restored.run_to_completion(drain=True)
+    assert restored.done
+    assert restored.collector.window.digest == run.collector.window.digest
+    assert restored.collector.window.jobs == run.collector.window.jobs
+    assert restored.env.processed_events == run.env.processed_events
+    assert restored.env.now == run.env.now
 
 
-@pytest.mark.parametrize("queue", QUEUES)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @settings(
     max_examples=5,
@@ -66,5 +53,5 @@ def _roundtrip(scenario: str, queue: str, fraction: float) -> None:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(fraction=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-def test_checkpoint_restore_byte_identical(scenario, queue, fraction):
-    _roundtrip(scenario, queue, fraction)
+def test_checkpoint_restore_byte_identical(scenario, fraction):
+    _roundtrip(scenario, fraction)

@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.apps import ft_profile, gadget2_profile
 from repro.cluster import Multicluster, das3_multicluster
 from repro.sim import Environment, RandomStreams
+
+# One session-wide hypothesis profile, whichever modules are collected:
+# deterministic, so every interpreter of the CI matrix draws the same
+# examples.  Tests with their own ``@settings`` override single fields.
+settings.register_profile(
+    "repro-deterministic", deadline=None, derandomize=True, max_examples=60
+)
+settings.load_profile("repro-deterministic")
 
 
 @pytest.fixture

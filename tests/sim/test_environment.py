@@ -4,7 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.trace import NullSink, Tracer
 from repro.sim import EmptySchedule, Environment
+
+#: Run-loop tests that must hold with and without a tracer attached.
+with_and_without_tracer = pytest.mark.parametrize(
+    "traced", [False, True], ids=["untraced", "traced"]
+)
+
+
+def environment(traced: bool) -> Environment:
+    env = Environment()
+    if traced:
+        env.set_tracer(Tracer(NullSink()))
+    return env
 
 
 def test_clock_starts_at_initial_time():
@@ -43,8 +56,9 @@ def test_negative_timeout_rejected():
         env.timeout(-1)
 
 
-def test_run_until_time_stops_exactly_there():
-    env = Environment()
+@with_and_without_tracer
+def test_run_until_time_stops_exactly_there(traced):
+    env = environment(traced)
     ticks = []
 
     def ticker(env):
@@ -86,8 +100,9 @@ def test_run_until_current_time_is_a_noop():
     assert fired == [6.0]  # the pending timeout still fires on a later run
 
 
-def test_run_until_event_returns_its_value():
-    env = Environment()
+@with_and_without_tracer
+def test_run_until_event_returns_its_value(traced):
+    env = environment(traced)
 
     def proc(env):
         yield env.timeout(3)
@@ -96,6 +111,15 @@ def test_run_until_event_returns_its_value():
     process = env.process(proc(env))
     assert env.run(until=process) == "payload"
     assert env.now == 3
+
+
+@with_and_without_tracer
+def test_run_until_an_event_that_never_triggers_raises(traced):
+    env = environment(traced)
+    env.timeout(1)
+    with pytest.raises(RuntimeError, match="never triggered"):
+        env.run(until=env.event())
+    assert env.now == 1
 
 
 def test_run_until_already_processed_event():
@@ -165,8 +189,9 @@ def test_peek_on_empty_queue_is_infinite():
     assert Environment().peek() == float("inf")
 
 
-def test_unhandled_process_failure_propagates_out_of_run():
-    env = Environment()
+@with_and_without_tracer
+def test_unhandled_process_failure_propagates_out_of_run(traced):
+    env = environment(traced)
 
     def broken(env):
         yield env.timeout(1)

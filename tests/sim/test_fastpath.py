@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.trace import NullSink, Tracer
 from repro.sim import AnyOf, Environment, Interrupt
 
 
-def test_plain_sleep_timeouts_are_recycled():
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_plain_sleep_timeouts_are_recycled(traced):
     env = Environment()
+    if traced:
+        env.set_tracer(Tracer(NullSink()))
     seen = []
 
     def proc(env):

@@ -23,7 +23,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
 from repro.koala import JobKind  # noqa: E402
 from repro.workloads import (  # noqa: E402
@@ -35,12 +35,6 @@ from repro.workloads import (  # noqa: E402
     WorkloadSpec,
     workload_from_swf,
 )
-
-# Deterministic in CI: same examples on every interpreter of the matrix.
-settings.register_profile(
-    "repro-deterministic", deadline=None, derandomize=True, max_examples=60
-)
-settings.load_profile("repro-deterministic")
 
 
 # -- strategies ----------------------------------------------------------------
