@@ -48,3 +48,22 @@ def test_repeated_serial_runs_are_byte_identical(scenario):
 def test_figure6_report_is_stable():
     assert scenario_report("figure6") == scenario_report("figure6")
 
+
+
+@pytest.mark.parametrize("scenario", ["figure7", "fault-sweep", "churn-replay"])
+def test_traced_and_untraced_sweeps_simulate_identically(scenario, tmp_path, monkeypatch):
+    """A traced run pops through a tracing closure; it must not change a result.
+
+    The sweep-level counterpart of the per-entry drain-order property in
+    ``tests/sim/test_drain_order.py``: with ``$REPRO_TRACE`` pointing at a
+    directory every configuration of the sweep writes its own trace, and the
+    metrics and kernel event counts must match an untraced sweep exactly.
+    """
+    untraced = run_scenario(scenario, job_count=8, seed=0, jobs=1, cache=None)
+    monkeypatch.setenv("REPRO_TRACE", str(tmp_path))
+    traced = run_scenario(scenario, job_count=8, seed=0, jobs=1, cache=None)
+    assert len(list(tmp_path.glob("*.jsonl"))) == len(traced)
+    assert sweep_digest(traced) == sweep_digest(untraced)
+    assert {label: r.events_processed for label, r in traced.items()} == {
+        label: r.events_processed for label, r in untraced.items()
+    }

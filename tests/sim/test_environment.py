@@ -13,8 +13,8 @@ with_and_without_tracer = pytest.mark.parametrize(
 )
 
 
-def environment(traced: bool) -> Environment:
-    env = Environment()
+def environment(traced: bool, initial_time: float = 0.0) -> Environment:
+    env = Environment(initial_time)
     if traced:
         env.set_tracer(Tracer(NullSink()))
     return env
@@ -30,8 +30,9 @@ def test_step_on_empty_schedule_raises():
         Environment().step()
 
 
-def test_run_without_events_returns_immediately():
-    env = Environment()
+@with_and_without_tracer
+def test_run_without_events_returns_immediately(traced):
+    env = environment(traced)
     assert env.run() is None
     assert env.now == 0.0
 
@@ -78,14 +79,15 @@ def test_run_until_past_time_rejected():
         env.run(until=4.0)
 
 
-def test_run_until_current_time_is_a_noop():
+@with_and_without_tracer
+def test_run_until_current_time_is_a_noop(traced):
     """``run(until=now)`` is a tolerated no-op: nothing runs, nothing raises.
 
     Regression test: this used to raise ``ValueError``, which made drivers
     that compute ``until=min(time_limit, ...)`` blow up exactly when the
     clock had already reached the limit.
     """
-    env = Environment(initial_time=5.0)
+    env = environment(traced, initial_time=5.0)
     fired = []
 
     def proc(env):
@@ -134,8 +136,9 @@ def test_run_until_already_processed_event():
     assert env.run(until=process) == 7
 
 
-def test_events_at_same_time_processed_in_schedule_order():
-    env = Environment()
+@with_and_without_tracer
+def test_events_at_same_time_processed_in_schedule_order(traced):
+    env = environment(traced)
     order = []
 
     def proc(env, name):
@@ -149,8 +152,9 @@ def test_events_at_same_time_processed_in_schedule_order():
     assert order == ["first", "second", "third"]
 
 
-def test_scheduled_callbacks_share_the_slots_of_process_events():
-    env = Environment()
+@with_and_without_tracer
+def test_scheduled_callbacks_share_the_slots_of_process_events(traced):
+    env = environment(traced)
     order = []
 
     def proc(env, name):
@@ -202,8 +206,9 @@ def test_unhandled_process_failure_propagates_out_of_run(traced):
         env.run()
 
 
-def test_failure_handled_by_waiter_does_not_propagate():
-    env = Environment()
+@with_and_without_tracer
+def test_failure_handled_by_waiter_does_not_propagate(traced):
+    env = environment(traced)
 
     def broken(env):
         yield env.timeout(1)
