@@ -27,33 +27,7 @@ def run_timeout_chain(events: int = 20_000) -> float:
     return env.now
 
 
-def run_condition_churn(waiters: int = 2_000) -> int:
-    """Allocation-heavy mix: every waiter builds AllOf/AnyOf conditions.
-
-    Exercises exactly the classes that declare ``__slots__`` (Event, Timeout,
-    Process, AllOf/AnyOf), so this benchmark tracks the win from slotted
-    events: less memory per event and faster attribute access in the hot
-    resume loop.
-    """
-    env = Environment()
-    done = []
-
-    def waiter(env):
-        yield env.all_of([env.timeout(1.0), env.timeout(2.0)])
-        yield env.any_of([env.timeout(5.0), env.timeout(1.0)])
-        done.append(env.now)
-
-    for _ in range(waiters):
-        env.process(waiter(env))
-    env.run()
-    return len(done)
-
-
 def test_bench_engine_timeout_throughput(benchmark):
     final_time = benchmark(run_timeout_chain)
     assert final_time == 20_000
 
-
-def test_bench_engine_condition_churn(benchmark):
-    completed = benchmark(run_condition_churn)
-    assert completed == 2_000

@@ -11,10 +11,10 @@ Public surface of the checkpoint subsystem:
   kernel-level primitives;
 * restore — :func:`restore_run` / :func:`resume_run`, returning a live
   :class:`SimulationRun` that continues byte-identically;
-* drivers — :class:`SimulationRun` construction and advancement,
-  :func:`run_checkpointed` for resumable long runs with periodic metric
-  flushes, and :func:`shard_replay` for parallel exact replay of huge
-  bursty workloads.
+* drivers — :func:`run_checkpointed` for resumable long runs and
+  :func:`shard_replay` for parallel exact replay of huge bursty workloads,
+  both over :class:`SimulationRun` (defined in
+  :mod:`repro.experiments.setup`, re-exported here).
 """
 
 from repro.checkpoint.capture import (
@@ -38,7 +38,7 @@ from repro.checkpoint.envelope import (
     validate_envelope,
 )
 from repro.checkpoint.restore import restore_run, resume_run
-from repro.checkpoint.runner import SimulationRun, run_checkpointed
+from repro.checkpoint.runner import run_checkpointed
 from repro.checkpoint.shard import (
     DEFAULT_MIN_GAP,
     ShardReplayResult,
@@ -48,6 +48,7 @@ from repro.checkpoint.shard import (
     shard_replay,
     shard_replay_bench,
 )
+from repro.experiments.setup import SimulationRun
 
 __all__ = [
     "CHECKPOINT_FORMAT",

@@ -312,8 +312,9 @@ def capture_state(run, *, mode: str = "native") -> Dict[str, Any]:
         )
     if scheduler.finished or scheduler.failed:
         raise CheckpointUnsupported(
-            "finished jobs have not been drained; call scheduler.drain_finished() "
-            "(native checkpoints capture the in-flight working set only)"
+            "the run holds finished or failed jobs; native checkpoints capture "
+            "the in-flight working set only, so capture a streaming run "
+            "(SimulationRun.fresh(..., streaming=True)) or use mode='replay'"
         )
 
     intents, finish_of = _classify_pending(run)

@@ -44,10 +44,10 @@ from repro.checkpoint.capture import (
     workload_digest,
 )
 from repro.checkpoint.envelope import RestoreError, load_checkpoint, validate_envelope
-from repro.checkpoint.runner import SimulationRun
 from repro.cluster.gram import GramJob
 from repro.experiments.setup import (
     ExperimentConfig,
+    SimulationRun,
     _profile_registry,
     build_system,
     build_workload,
@@ -85,9 +85,7 @@ def _fromhex(value: str) -> float:
         raise RestoreError(f"malformed float field {value!r}: {error}") from None
 
 
-def restore_run(
-    data: Dict[str, Any], *, workload=None, collect_windowed: bool = True
-) -> SimulationRun:
+def restore_run(data: Dict[str, Any], *, workload=None) -> SimulationRun:
     """Rebuild a live :class:`SimulationRun` from a checkpoint envelope.
 
     Dispatches on the envelope's ``mode``.  The returned run continues from
@@ -100,29 +98,30 @@ def restore_run(
     can only be restored by passing the same *workload* back in — the
     envelope carries a content digest and the restore refuses a workload
     that differs from the captured one.
+
+    The restored run streams (see :meth:`SimulationRun.fresh`) exactly when
+    the captured one did; the envelope's ``retain_jobs`` key records it.
     """
     validate_envelope(data)
     config = ExperimentConfig.from_dict(data["config"])
+    streaming = not data.get("retain_jobs", True)
     mode = data["mode"]
     if mode == "native":
-        return _restore_native(data, config, collect_windowed, workload=workload)
+        return _restore_native(data, config, streaming, workload=workload)
     if mode == "replay":
-        return _restore_replay(data, config, workload=workload)
+        return _restore_replay(data, config, streaming, workload=workload)
     raise RestoreError(f"unknown checkpoint mode {mode!r}")
 
 
 def resume_run(
-    source: Union[str, Path, Dict[str, Any]],
-    *,
-    workload=None,
-    collect_windowed: bool = True,
+    source: Union[str, Path, Dict[str, Any]], *, workload=None
 ) -> SimulationRun:
     """Load a checkpoint (path or envelope) and restore it."""
     if isinstance(source, (str, Path)):
         data = load_checkpoint(source)
     else:
         data = source
-    return restore_run(data, workload=workload, collect_windowed=collect_windowed)
+    return restore_run(data, workload=workload)
 
 
 def _check_workload(data: Dict[str, Any], workload) -> None:
@@ -148,7 +147,7 @@ def _check_workload(data: Dict[str, Any], workload) -> None:
 def _restore_native(
     data: Dict[str, Any],
     config: ExperimentConfig,
-    collect_windowed: bool,
+    streaming: bool,
     workload=None,
 ) -> SimulationRun:
     at = _fromhex(data["time"])
@@ -284,7 +283,7 @@ def _restore_native(
                 workload,
                 registry=_profile_registry(config),
                 start_index=cursor,
-                retain_jobs=bool(data.get("retain_jobs", True)),
+                retain_jobs=not streaming,
             )
         elif kind == "kis":
             kis.start_polling()
@@ -320,13 +319,13 @@ def _restore_native(
             workload,
             registry=_profile_registry(config),
             start_index=cursor,
-            retain_jobs=bool(data.get("retain_jobs", True)),
+            retain_jobs=not streaming,
         )
 
     streams.restore_lane_states(data["lanes"])
 
     collector: Optional[WindowedCollector] = None
-    if collect_windowed:
+    if streaming:
         window = (
             WindowedMetrics.from_dict(data["window"])
             if "window" in data
@@ -334,6 +333,7 @@ def _restore_native(
         )
         collector = WindowedCollector(window)
         scheduler.hooks.subscribe(collector)
+        scheduler.retain_finished = False
 
     return SimulationRun(
         config=config,
@@ -352,15 +352,10 @@ def _restore_native(
 
 
 def _restore_replay(
-    data: Dict[str, Any], config: ExperimentConfig, workload=None
+    data: Dict[str, Any], config: ExperimentConfig, streaming: bool, workload=None
 ) -> SimulationRun:
     at = _fromhex(data["time"])
-    run = SimulationRun.fresh(
-        config,
-        workload=workload,
-        retain_jobs=bool(data.get("retain_jobs", True)),
-        collect_windowed="window" in data,
-    )
+    run = SimulationRun.fresh(config, workload=workload, streaming=streaming)
     _check_workload(data, run.workload)
     step_until(run.env, at)
 

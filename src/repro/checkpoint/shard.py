@@ -38,8 +38,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.checkpoint.capture import native_unsupported_reason
 from repro.checkpoint.envelope import CheckpointUnsupported
-from repro.checkpoint.runner import SimulationRun
-from repro.experiments.setup import ExperimentConfig, build_workload
+from repro.experiments.setup import ExperimentConfig, SimulationRun, build_workload
 from repro.koala.job import JobKind
 from repro.metrics.windowed import WindowedMetrics
 from repro.sim.rng import RandomStreams
@@ -180,13 +179,9 @@ def _replay_window(payload: Dict[str, Any]) -> Dict[str, Any]:
             scheduler_extra = {"kis_first_poll_at": first_poll}
 
     run = SimulationRun.fresh(
-        config,
-        workload=workload,
-        retain_jobs=False,
-        collect_windowed=True,
-        scheduler_extra=scheduler_extra,
+        config, workload=workload, streaming=True, scheduler_extra=scheduler_extra
     )
-    run.run_to_completion(drain=True)
+    run.run_to_completion()
     return {
         "index": payload.get("index"),
         "start": payload["start"],

@@ -4,16 +4,17 @@ An :class:`ExperimentConfig` captures one run of the paper's experimental
 setup — which workload, which malleability policy, which job-management
 approach, which placement policy, and the substrate parameters (GRAM
 latencies, KIS poll interval, background load, seed).
-:func:`run_experiment` builds the simulated DAS-3, the scheduler and the
-workload submitter, runs the simulation to completion and returns the
-collected :class:`~repro.metrics.collector.ExperimentMetrics`.
+:class:`SimulationRun` is the one way to build (the simulated DAS-3, the
+scheduler, the workload submitter) and drive a run; :func:`run_experiment`
+runs one to completion and returns the collected
+:class:`~repro.metrics.collector.ExperimentMetrics`.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Optional
 
@@ -22,6 +23,7 @@ from repro.cluster.das3 import das3_multicluster
 from repro.cluster.multicluster import Multicluster
 from repro.koala.scheduler import KoalaScheduler, SchedulerConfig
 from repro.metrics.collector import ExperimentMetrics
+from repro.metrics.windowed import WindowedCollector
 from repro.policies.registry import spec_string
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
@@ -417,29 +419,166 @@ def _profile_registry(config: ExperimentConfig):
     return registry
 
 
+#: Spacing of the completion checks of :meth:`SimulationRun.run_to_completion`.
+CHECK_INTERVAL = 300.0
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector while a simulation runs.
+
+    The event loop allocates heavily (events, schedule entries, generator
+    frames) but almost everything dies by reference counting, so the
+    periodic generation-0 scans only cost time.  The pause is skipped when
+    the caller already disabled collection, and collection is restored (and
+    the run's survivors swept once) in all exit paths.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+            gc.collect(generation=0)
+
+
+@dataclass
+class SimulationRun:
+    """All live objects of one simulation run, as one value.
+
+    Built by :meth:`fresh` (or by :func:`repro.checkpoint.restore.restore_run`)
+    and driven by :meth:`run_to_completion`; :func:`run_experiment`, the
+    checkpoint layer and the shard workers all go through it.
+
+    A *streaming* run (see :meth:`fresh`) feeds every completion into a
+    :class:`~repro.metrics.windowed.WindowedCollector` and keeps no finished
+    job, execution record or runner, so its resident set stays proportional
+    to the in-flight working set however long the workload is.
+    """
+
+    config: ExperimentConfig
+    env: Environment
+    streams: RandomStreams
+    workload: WorkloadSpec
+    multicluster: Multicluster
+    scheduler: KoalaScheduler
+    submitter: WorkloadSubmitter
+    injector: Optional[object] = None
+    collector: Optional[WindowedCollector] = None
+
+    @classmethod
+    def fresh(
+        cls,
+        config: ExperimentConfig,
+        *,
+        workload: Optional[WorkloadSpec] = None,
+        streaming: bool = False,
+        scheduler_extra: Optional[Dict[str, object]] = None,
+        tracer=None,
+    ) -> "SimulationRun":
+        """Build a run from scratch.
+
+        *workload* overrides the workload named in the configuration; when
+        omitted it is generated from the configuration's seed, so two
+        configurations with the same seed and workload name replay *exactly*
+        the same submissions — the property the paper relies on when
+        comparing FPSMA and EGS.  ``scheduler_extra`` feeds
+        :attr:`~repro.koala.scheduler.SchedulerConfig.extra`.  An open
+        *tracer* is attached before anything is built, so construction-time
+        scheduling (KIS poll, background generators) is traced too.
+
+        The construction order (streams, environment, workload, system,
+        injector, submitter) is load-bearing: replay-mode restore re-runs a
+        fresh instance and verifies it reaches the captured kernel state
+        bit-for-bit, which only holds if event ids are allocated in the same
+        order every time.
+        """
+        streams = RandomStreams(seed=config.seed)
+        env = Environment()
+        if tracer is not None:
+            env.set_tracer(tracer)
+        if workload is None:
+            workload = build_workload(config, streams)
+        multicluster, scheduler = build_system(
+            config, env, streams, scheduler_extra=scheduler_extra
+        )
+        injector = None
+        if config.fault_model is not None:
+            from repro.faults.injector import FaultInjector
+
+            injector = FaultInjector(env, scheduler, config.fault_model, streams)
+        submitter = WorkloadSubmitter(
+            env,
+            scheduler,
+            workload,
+            registry=_profile_registry(config),
+            retain_jobs=not streaming,
+        )
+        collector = None
+        if streaming:
+            collector = WindowedCollector()
+            scheduler.hooks.subscribe(collector)
+            scheduler.retain_finished = False
+        if tracer is not None:
+            scheduler.hooks.set_tracer(tracer)
+        return cls(
+            config=config,
+            env=env,
+            streams=streams,
+            workload=workload,
+            multicluster=multicluster,
+            scheduler=scheduler,
+            submitter=submitter,
+            injector=injector,
+            collector=collector,
+        )
+
+    @property
+    def done(self) -> bool:
+        """Whether the workload is fully submitted and every job resolved."""
+        return self.submitter.all_submitted.triggered and self.scheduler.all_done
+
+    def run_to_completion(self) -> None:
+        """Advance until the run is done or its time limit is reached.
+
+        The KIS poll and the background generators produce events forever,
+        so completion is checked on a fixed grid: first at
+        ``max(workload.duration, CHECK_INTERVAL)``, then every
+        :data:`CHECK_INTERVAL` seconds, and the run stops at the first grid
+        point where :attr:`done` holds (or at the time limit).  A run that
+        starts later — one restored from a checkpoint — joins the same grid,
+        so it stops at the same instant as the uninterrupted run.
+        """
+        env = self.env
+        limit = float(self.config.time_limit)
+        # Join the grid by the same float additions the loop below makes, so
+        # a resumed run lands on the uninterrupted run's exact grid points.
+        boundary = max(self.workload.duration, CHECK_INTERVAL)
+        while boundary < env.now:
+            boundary += CHECK_INTERVAL
+        with gc_paused():
+            if env.now < limit:
+                env.run(until=min(limit, boundary))
+            while not self.done and env.now < limit:
+                env.run(until=min(limit, env.now + CHECK_INTERVAL))
+
+
 def run_experiment(
     config: ExperimentConfig, *, workload: Optional[WorkloadSpec] = None
 ) -> ExperimentResult:
     """Run one experiment to completion and collect its metrics.
 
-    Parameters
-    ----------
-    config:
-        The experiment configuration.
-    workload:
-        Pre-built workload specification.  When omitted the workload named in
-        the configuration is generated from the configuration's seed, so two
-        configurations with the same seed and workload name replay *exactly*
-        the same submissions — the property the paper relies on when
-        comparing FPSMA and EGS.
+    Builds the run with :meth:`SimulationRun.fresh` (*workload* as there),
+    drives it with :meth:`SimulationRun.run_to_completion` and collects
+    :class:`~repro.metrics.collector.ExperimentMetrics` from it.  When
+    ``config.trace`` (or ``$REPRO_TRACE``) names a target, the run is traced
+    into it.
     """
-    streams = RandomStreams(seed=config.seed)
-    env = Environment()
     tracer = None
     trace_target = config.trace or os.environ.get("REPRO_TRACE")
     if trace_target:
-        # Attached before the system is built so construction-time
-        # scheduling (KIS poll, background generators) is traced too.
         from repro.obs.trace import Tracer, open_sink, resolve_trace_path
 
         tracer = Tracer(
@@ -451,56 +590,19 @@ def run_experiment(
                 "job_count": config.job_count,
             },
         )
-        env.set_tracer(tracer)
+    run = None
     try:
-        if workload is None:
-            workload = build_workload(config, streams)
-        multicluster, scheduler = build_system(config, env, streams)
-        injector = None
-        if config.fault_model is not None:
-            from repro.faults.injector import FaultInjector
-
-            injector = FaultInjector(env, scheduler, config.fault_model, streams)
-        submitter = WorkloadSubmitter(
-            env, scheduler, workload, registry=_profile_registry(config)
-        )
+        run = SimulationRun.fresh(config, workload=workload, tracer=tracer)
         if tracer is not None:
-            scheduler.hooks.set_tracer(tracer)
             tracer.record(
                 "run_start",
                 label=config.label,
                 seed=config.seed,
                 time_limit=config.time_limit,
             )
-
-        # Run until every submitted job has finished (checking periodically,
-        # because the information-service poll and the background generators
-        # keep producing events forever), bounded by the configured time
-        # limit.
-        #
-        # The cyclic garbage collector is paused for the duration of the run:
-        # the event loop allocates heavily (events, schedule entries,
-        # generator frames) but almost everything dies by reference counting,
-        # so the periodic generation-0 scans only cost time.  The pause is
-        # skipped when the caller already disabled collection, and collection
-        # is restored (and the run's survivors swept once) in all exit paths.
-        check_interval = 300.0
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            env.run(until=min(config.time_limit, max(workload.duration, check_interval)))
-            while not (submitter.all_submitted.triggered and scheduler.all_done):
-                if env.now >= config.time_limit:
-                    break
-                env.run(until=min(config.time_limit, env.now + check_interval))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-                gc.collect(generation=0)
-
+        run.run_to_completion()
         metrics = ExperimentMetrics.from_run(
-            scheduler, multicluster, label=config.label, faults=injector
+            run.scheduler, run.multicluster, label=config.label, faults=run.injector
         )
         if tracer is not None:
             import hashlib
@@ -508,22 +610,23 @@ def run_experiment(
 
             tracer.record(
                 "run_end",
-                t=env.now,
-                events=env.processed_events,
-                all_done=scheduler.all_done,
+                t=run.env.now,
+                events=run.env.processed_events,
+                all_done=run.scheduler.all_done,
                 digest=hashlib.sha256(
                     json.dumps(metrics.to_dict(), sort_keys=True).encode("utf-8")
                 ).hexdigest(),
             )
     finally:
         if tracer is not None:
-            env.set_tracer(None)
+            if run is not None:
+                run.env.set_tracer(None)
             tracer.close()
     return ExperimentResult(
         config=config,
         metrics=metrics,
-        workload=workload,
-        simulated_time=env.now,
-        all_done=scheduler.all_done,
-        events_processed=env.processed_events,
+        workload=run.workload,
+        simulated_time=run.env.now,
+        all_done=run.scheduler.all_done,
+        events_processed=run.env.processed_events,
     )

@@ -215,12 +215,17 @@ class KoalaScheduler:
         #: Completed jobs with their execution records, in completion order.
         self.finished: List[Job] = []
         self.records: Dict[int, ExecutionRecord] = {}
+        #: Whether finished jobs are kept.  A streaming run
+        #: (:class:`~repro.experiments.setup.SimulationRun`) turns this off:
+        #: its windowed collector takes each completion off the ``JobEnded``
+        #: event, and the scheduler forgets the job, its record and its
+        #: runner, so a million-job replay holds only the in-flight working
+        #: set.
+        self.retain_finished = True
         #: Jobs abandoned after exhausting their placement retries.
         self.failed: List[Job] = []
         #: Lifetime counters.  ``all_done`` is defined over these, not over
-        #: the list/dict sizes, so streaming consumers may evict finished
-        #: jobs (:meth:`drain_finished`) without confusing the run loop —
-        #: the flat-memory property million-job replays depend on.
+        #: the list/dict sizes, which a streaming run does not fill.
         self._accepted_count = 0
         self._finished_count = 0
         self._failed_count = 0
@@ -464,8 +469,11 @@ class KoalaScheduler:
     def job_finished(self, job: Job, record: ExecutionRecord) -> None:
         """A runner reports that *job* finished; its processors are free again."""
         self._forget_running(job)
-        self.finished.append(job)
-        self.records[job.job_id] = record
+        if self.retain_finished:
+            self.finished.append(job)
+            self.records[job.job_id] = record
+        else:
+            self._runners.pop(job.job_id, None)
         self._finished_count += 1
         # Processors became available: a job-management trigger (via hooks).
         self.emit(JobEnded(self.env.now, job, record=record))
@@ -525,8 +533,8 @@ class KoalaScheduler:
     def all_done(self) -> bool:
         """Whether every submitted job has finished or failed.
 
-        Counter-based (not list-length-based) so evicting finished jobs
-        through :meth:`drain_finished` cannot change the answer.
+        Counter-based (not list-length-based), so it holds for streaming
+        runs, which keep no finished job.
         """
         return self._finished_count + self._failed_count == self._accepted_count
 
@@ -544,25 +552,6 @@ class KoalaScheduler:
     def accepted_count(self) -> int:
         """Lifetime number of accepted submissions (eviction-proof)."""
         return self._accepted_count
-
-    def drain_finished(self) -> List[tuple]:
-        """Hand over — and forget — every finished job with its record.
-
-        The streaming-metrics eviction hook: returns ``[(job, record), ...]``
-        in completion order, then drops the jobs from :attr:`finished`,
-        :attr:`records` and the runner map so a million-job replay holds
-        only the in-flight working set.  :attr:`all_done` is unaffected
-        (it is counter-based).  After a drain,
-        :meth:`~repro.metrics.collector.ExperimentMetrics.from_run` only
-        sees the jobs finished since — callers that drain are expected to
-        accumulate metrics incrementally (see
-        :mod:`repro.metrics.windowed`).
-        """
-        drained = [(job, self.records.pop(job.job_id)) for job in self.finished]
-        for job, _ in drained:
-            self._runners.pop(job.job_id, None)
-        self.finished = []
-        return drained
 
     def runner_for(self, job: Job) -> JobRunner:
         """The runner created for *job*."""

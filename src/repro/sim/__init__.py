@@ -28,22 +28,12 @@ simply ``from repro.sim import Environment, Timeout``.
 """
 
 from repro.sim.core import Environment, EmptySchedule, StopSimulation
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    Event,
-    Interrupt,
-    Timeout,
-)
+from repro.sim.events import Event, Interrupt, Timeout
 from repro.sim.process import Process, ProcessGenerator
 from repro.sim.rng import RandomStreams
 from repro.sim.monitor import Counter, TimeSeries, TimeWeightedStat
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
     "Counter",
     "EmptySchedule",
     "Environment",

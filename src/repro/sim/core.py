@@ -16,7 +16,7 @@ through a free list (see :meth:`timeout`).  A timeout is recycled — object
 *and* callback list — only when its sole executed callback was a process
 resumption, i.e. it was produced by the ubiquitous ``yield env.timeout(d)``
 pattern, in which no reference to the event survives the resumption.
-Timeouts waited on by conditions, interrupted sleeps or ``run(until=...)``
+Timeouts carrying other callbacks, interrupted sleeps or ``run(until=...)``
 stop events are never recycled.
 
 Work that needs no generator frame — a timer, a hand-off at the current
@@ -37,17 +37,9 @@ from __future__ import annotations
 from functools import partial
 from heapq import heappop, heappush
 from math import inf
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
-from repro.sim.events import (
-    NORMAL,
-    PENDING,
-    URGENT,
-    AllOf,
-    AnyOf,
-    Event,
-    Timeout,
-)
+from repro.sim.events import NORMAL, PENDING, URGENT, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 #: The underlying function of ``Process._resume`` bound methods; used to
@@ -145,7 +137,7 @@ class Environment:
         and no callback list in steady state.  The flip side of recycling:
         do not retain a reference to a plain-sleep timeout past the yield
         that waits on it — once it has resumed its process, the object may be
-        reused for a later timeout.  (Timeouts waited on by conditions,
+        reused for a later timeout.  (Timeouts carrying other callbacks,
         ``run(until=...)`` or interrupted sleeps are never recycled.)
         """
         pool = self._timeout_pool
@@ -165,14 +157,6 @@ class Environment:
     def event(self) -> Event:
         """Return a new, untriggered :class:`~repro.sim.events.Event`."""
         return Event(self)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Return a condition event that succeeds when all *events* have."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Return a condition event that succeeds when any of *events* has."""
-        return AnyOf(self, events)
 
     # -- scheduling and execution -----------------------------------------
 
@@ -402,7 +386,9 @@ class Environment:
                 stop_event._ok = True
                 stop_event._value = None
                 stop_event.callbacks.append(StopSimulation.callback)
-                self.schedule(stop_event, priority=URGENT, delay=at - self._now)
+                # At *at* itself, not ``now + (at - now)``: the difference
+                # does not always round-trip, and drivers stop on a grid.
+                self.schedule_at(stop_event, at, priority=URGENT)
 
         # Inlined event loop: identical semantics to repeated ``step()``
         # calls, with every per-event lookup hoisted into a local.

@@ -100,22 +100,3 @@ class WorkloadSubmitter:
             self.scheduler.submit(job)
         if not self.all_submitted.triggered:
             self.all_submitted.succeed(self.cursor)
-
-    def completion_event(self) -> Event:
-        """An event that succeeds once every submitted job finished or failed.
-
-        Only meaningful after ``all_submitted``; the experiment driver usually
-        runs the simulation with a generous time bound and checks
-        :attr:`~repro.koala.scheduler.KoalaScheduler.all_done` instead, but
-        small tests find this convenient.
-        """
-        done = self.env.event()
-        self.env.process(self._watch_completion(done))
-        return done
-
-    def _watch_completion(self, done: Event):
-        yield self.all_submitted
-        while not self.scheduler.all_done:
-            yield self.env.timeout(30.0)
-        if not done.triggered:
-            done.succeed(len(self.scheduler.finished))

@@ -181,7 +181,8 @@ def test_queued_reallocations_are_served_in_order():
         yield env.timeout(10.0)
         first = app.set_allocation(4)
         second = app.set_allocation(8)
-        yield first & second
+        yield first
+        yield second
         return app.allocation
 
     driver_proc = env.process(driver(env, app))

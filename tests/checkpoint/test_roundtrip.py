@@ -35,10 +35,8 @@ def _workload():
 
 
 def _serial_digest(config, workload=None):
-    run = SimulationRun.fresh(
-        config, workload=workload, retain_jobs=False, collect_windowed=True
-    )
-    run.run_to_completion(drain=True)
+    run = SimulationRun.fresh(config, workload=workload, streaming=True)
+    run.run_to_completion()
     assert run.done
     return run.collector.window.digest
 
@@ -71,7 +69,7 @@ def test_resume_from_every_checkpoint_is_byte_identical(tmp_path, reference_dige
     assert out["checkpoint_paths"]
     for path in out["checkpoint_paths"]:
         run = resume_run(path, workload=_workload())
-        run.run_to_completion(drain=True)
+        run.run_to_completion()
         assert run.done
         assert run.collector.window.digest == reference_digest
 
@@ -85,7 +83,7 @@ def test_store_persistence_roundtrip(tmp_path, reference_digest):
     assert sorted(out["checkpoint_keys"]) == store.keys()
     for key in out["checkpoint_keys"]:
         run = restore_run(store.load(key), workload=_workload())
-        run.run_to_completion(drain=True)
+        run.run_to_completion()
         assert run.done
         assert run.collector.window.digest == reference_digest
 
@@ -127,14 +125,14 @@ def test_recapture_of_restored_run_matches(tmp_path):
     advance_to_safe_point(run)
     envelope = capture_state(run, mode="native")
     again = restore_run(envelope, workload=_workload())
-    again.run_to_completion(drain=True)
+    again.run_to_completion()
     assert again.done
     assert again.collector.window.digest == _serial_digest(_config(), _workload())
 
 
 def test_native_capture_refused_outside_envelope():
     _label, config = get_scenario("figure7").expand(job_count=10)[0]
-    run = SimulationRun.fresh(config, retain_jobs=False, collect_windowed=True)
+    run = SimulationRun.fresh(config, streaming=True)
     assert native_unsupported_reason(config, run.workload) is not None
     step_until(run.env, 500.0)
     advance_to_safe_point(run)
@@ -144,14 +142,14 @@ def test_native_capture_refused_outside_envelope():
 
 def test_replay_mode_roundtrip_on_malleable_config():
     _label, config = get_scenario("figure7").expand(job_count=20)[0]
-    run = SimulationRun.fresh(config, retain_jobs=False, collect_windowed=True)
+    run = SimulationRun.fresh(config, streaming=True)
     step_until(run.env, 2000.0)
     advance_to_safe_point(run)
     envelope = capture_state(run, mode="replay")
-    run.run_to_completion(drain=True)
+    run.run_to_completion()
     assert run.done
     restored = restore_run(envelope)
-    restored.run_to_completion(drain=True)
+    restored.run_to_completion()
     assert restored.done
     assert restored.collector.window.digest == run.collector.window.digest
     assert restored.env.processed_events == run.env.processed_events

@@ -28,10 +28,8 @@ def _config_fields() -> dict:
 
 
 def _serial_digest() -> str:
-    run = SimulationRun.fresh(
-        shard_bench_config(JOBS, seed=0), retain_jobs=False, collect_windowed=True
-    )
-    run.run_to_completion(drain=True)
+    run = SimulationRun.fresh(shard_bench_config(JOBS, seed=0), streaming=True)
+    run.run_to_completion()
     return run.collector.window.digest
 
 

@@ -19,10 +19,8 @@ from repro.workloads.registry import build_named_workload
 
 
 def _serial_digest(config, workload):
-    run = SimulationRun.fresh(
-        config, workload=workload, retain_jobs=False, collect_windowed=True
-    )
-    run.run_to_completion(drain=True)
+    run = SimulationRun.fresh(config, workload=workload, streaming=True)
+    run.run_to_completion()
     assert run.done
     return run.collector.window.digest
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.checkpoint.shard import shard_bench_config
 from repro.experiments import ExperimentConfig, build_workload, run_experiment
 from repro.experiments.setup import (
     DEFAULT_BACKGROUND_PROFILE,
     FIGURE8_BACKGROUND_PROFILE,
+    SimulationRun,
     default_background,
 )
 from repro.sim import RandomStreams
@@ -103,3 +105,31 @@ def test_run_experiment_without_background_or_malleability():
     # Without a malleability manager nothing ever grows.
     assert all(j.maximum_allocation == 2 for j in result.metrics.jobs)
     assert result.metrics.total_grow_messages == 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [small_config(), shard_bench_config(60)],
+    ids=["egs-wm", "rigid-bursts"],
+)
+def test_streaming_run_ends_like_a_full_run_and_keeps_no_finished_job(config):
+    full = SimulationRun.fresh(config)
+    full.run_to_completion()
+    streaming = SimulationRun.fresh(config, streaming=True)
+    streaming.run_to_completion()
+    assert full.done and streaming.done
+    assert streaming.env.now == full.env.now
+    assert streaming.env.processed_events == full.env.processed_events
+    reference = run_experiment(config)
+    assert full.env.now == reference.simulated_time
+    assert full.env.processed_events == reference.events_processed
+
+    jobs = config.job_count
+    assert len(full.scheduler.finished) == jobs
+    assert streaming.collector.window.jobs == jobs
+    scheduler = streaming.scheduler
+    assert scheduler.finished_count == jobs
+    assert scheduler.finished == []
+    assert scheduler.records == {}
+    assert scheduler._runners == {}
+    assert streaming.submitter.jobs == []

@@ -73,6 +73,17 @@ def test_run_until_time_stops_exactly_there(traced):
     assert ticks[-1] <= 10
 
 
+def test_run_until_lands_on_the_target_float():
+    # ``start + (until - start)`` rounds to a neighbouring float here; the
+    # clock must still stop on *until* itself, which is how a run restored
+    # mid-simulation joins the completion grid of the uninterrupted run.
+    start, until = 1021.8719707135415, 12422.843905644704
+    assert start + (until - start) != until
+    env = Environment(initial_time=start)
+    env.run(until=until)
+    assert env.now == until
+
+
 def test_run_until_past_time_rejected():
     env = Environment(initial_time=5.0)
     with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
-"""Unit tests of events, conditions and interrupts."""
+"""Unit tests of events and interrupts."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt
+from repro.sim import Environment, Interrupt
 
 
 def test_event_lifecycle_flags():
@@ -58,85 +58,6 @@ def test_timeout_carries_value_and_delay():
     process = env.process(proc(env, timeout))
     env.run()
     assert process.value == (5, "done")
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-
-    def proc(env):
-        result = yield AllOf(env, [env.timeout(2, "a"), env.timeout(6, "b")])
-        return (env.now, sorted(result.values()))
-
-    process = env.process(proc(env))
-    env.run()
-    assert process.value == (6, ["a", "b"])
-
-
-def test_any_of_returns_at_first_event():
-    env = Environment()
-
-    def proc(env):
-        result = yield AnyOf(env, [env.timeout(2, "fast"), env.timeout(6, "slow")])
-        return (env.now, list(result.values()))
-
-    process = env.process(proc(env))
-    env.run()
-    assert process.value == (2, ["fast"])
-
-
-def test_condition_operators_and_or():
-    env = Environment()
-
-    def both(env):
-        yield env.timeout(1) & env.timeout(3)
-        return env.now
-
-    def either(env):
-        yield env.timeout(1) | env.timeout(3)
-        return env.now
-
-    b = env.process(both(env))
-    e = env.process(either(env))
-    env.run()
-    assert b.value == 3
-    assert e.value == 1
-
-
-def test_empty_all_of_succeeds_immediately():
-    env = Environment()
-
-    def proc(env):
-        result = yield AllOf(env, [])
-        return len(result)
-
-    process = env.process(proc(env))
-    env.run()
-    assert process.value == 0
-
-
-def test_condition_requires_same_environment():
-    env_a, env_b = Environment(), Environment()
-    with pytest.raises(ValueError):
-        AllOf(env_a, [env_a.timeout(1), env_b.timeout(1)])
-
-
-def test_condition_fails_when_subevent_fails():
-    env = Environment()
-
-    def failing(env):
-        yield env.timeout(1)
-        raise ValueError("inner failure")
-
-    def waiter(env, target):
-        try:
-            yield AllOf(env, [env.timeout(5), target])
-        except ValueError as error:
-            return str(error)
-
-    target = env.process(failing(env))
-    waiter_proc = env.process(waiter(env, target))
-    env.run()
-    assert waiter_proc.value == "inner failure"
 
 
 def test_interrupt_carries_cause():

@@ -4,8 +4,8 @@ The environment recycles ``Timeout`` events produced by the plain
 ``yield env.timeout(d)`` pattern (the overwhelming majority of all events in
 a scheduler run).  These tests pin down the recycling contract: plain sleeps
 are recycled with fresh state, and the kernel-level patterns through which a
-reference outlives the event — conditions, ``run(until=...)``, interrupted
-sleeps — are excluded from the pool.
+reference outlives the event — ``run(until=...)`` and interrupted sleeps —
+are excluded from the pool.
 
 The contract has a documented sharp edge the kernel cannot detect: *user*
 code that stores a plain-sleep timeout, yields it, and keeps reading the
@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.trace import NullSink, Tracer
-from repro.sim import AnyOf, Environment, Interrupt
+from repro.sim import Environment, Interrupt
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
@@ -56,25 +56,6 @@ def test_recycled_timeouts_carry_fresh_delay_and_value():
     env.run()
     assert received == [(0, "a"), (1, "b"), (3, "c"), (7, "d")]
     assert env.now == 15
-
-
-def test_condition_sub_timeouts_are_not_recycled():
-    env = Environment()
-    fast = None
-
-    def proc(env):
-        nonlocal fast
-        fast = env.timeout(2, "fast")
-        result = yield AnyOf(env, [fast, env.timeout(6, "slow")])
-        return list(result.values())
-
-    process = env.process(proc(env))
-    env.run()
-    assert process.value == ["fast"]
-    # The condition's sub-event keeps its value readable after the run and
-    # was never handed to the free list.
-    assert fast.value == "fast"
-    assert fast not in env._timeout_pool
 
 
 def test_run_until_timeout_is_not_recycled():
