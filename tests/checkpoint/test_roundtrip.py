@@ -159,3 +159,26 @@ def test_workload_digest_is_content_addressed():
     assert workload_digest(_workload()) == workload_digest(_workload())
     other = burst_workload(JOBS, burst_size=41, gap=900.0)
     assert workload_digest(_workload()) != workload_digest(other)
+
+
+@pytest.mark.parametrize("streaming", [False, True], ids=["full", "streaming"])
+def test_envelope_retain_jobs_key_restores_the_streaming_mode(streaming):
+    # The envelope still records the mode under its historical key, so
+    # checkpoints written before the ``streaming`` flag existed restore.
+    _label, config = get_scenario("figure7").expand(job_count=10)[0]
+    run = SimulationRun.fresh(config, streaming=streaming)
+    step_until(run.env, 500.0)
+    advance_to_safe_point(run)
+    envelope = capture_state(run, mode="replay")
+    assert envelope["retain_jobs"] is (not streaming)
+
+    restored = restore_run(envelope)
+    assert (restored.collector is not None) is streaming
+    restored.run_to_completion()
+    assert restored.done
+    finished = restored.scheduler.finished
+    assert (finished == []) is streaming
+    if streaming:
+        assert restored.collector.window.jobs == config.job_count
+    else:
+        assert len(finished) == config.job_count

@@ -7,6 +7,7 @@ import pytest
 from repro.checkpoint.shard import shard_bench_config
 from repro.experiments import ExperimentConfig, build_workload, run_experiment
 from repro.experiments.setup import (
+    CHECK_INTERVAL,
     DEFAULT_BACKGROUND_PROFILE,
     FIGURE8_BACKGROUND_PROFILE,
     SimulationRun,
@@ -133,3 +134,34 @@ def test_streaming_run_ends_like_a_full_run_and_keeps_no_finished_job(config):
     assert scheduler.records == {}
     assert scheduler._runners == {}
     assert streaming.submitter.jobs == []
+
+
+def test_run_driven_from_a_later_instant_joins_the_completion_grid():
+    # A run that is stepped by hand past its first completion check, to an
+    # instant between two checks, and only then handed to run_to_completion
+    # must stop where the uninterrupted run does, with the same metrics.
+    from repro.checkpoint import step_until
+    from repro.metrics.collector import ExperimentMetrics
+
+    config = small_config()
+    reference = run_experiment(config)
+    run = SimulationRun.fresh(config)
+    at = run.workload.duration + 123.25
+    assert at < reference.simulated_time - CHECK_INTERVAL
+    step_until(run.env, at)
+    assert not run.done
+    run.run_to_completion()
+    assert run.done
+    assert run.env.now == reference.simulated_time
+    metrics = ExperimentMetrics.from_run(
+        run.scheduler, run.multicluster, label=config.label, faults=run.injector
+    )
+    assert metrics.to_dict() == reference.metrics.to_dict()
+
+
+def test_run_to_completion_stops_at_the_time_limit():
+    config = small_config(time_limit=450.0)
+    run = SimulationRun.fresh(config)
+    run.run_to_completion()
+    assert not run.done
+    assert run.env.now == 450.0
